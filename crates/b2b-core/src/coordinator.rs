@@ -1090,10 +1090,12 @@ impl Coordinator {
             let Some(factory) = self.factories.get(&object_id) else {
                 continue;
             };
-            let replica = snap.restore(object_id.clone(), factory(), |slot| {
+            let Ok(replica) = snap.restore(object_id.clone(), factory(), |slot| {
                 self.snapshots
                     .get_snapshot(&format!("obj-{object_id}-reply-{slot}"))
-            });
+            }) else {
+                continue;
+            };
             self.replicas.insert(object_id.clone(), replica);
             self.resume_run(&object_id, ctx);
         }

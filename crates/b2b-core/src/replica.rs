@@ -16,6 +16,7 @@ use crate::object::B2BObject;
 use b2b_crypto::{Digest32, PartyId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use thiserror::Error;
 
 /// A state-coordination run at its proposer.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -327,25 +328,77 @@ pub struct ReplicaSnapshot {
     /// per-install snapshot write O(state) with a constant large enough
     /// to dominate whole coordination rounds; hex keeps it one string.
     pub agreed_state: String,
-    /// Replay-detection: runs seen, with the agreed seq each was seen at.
-    pub seen_runs: Vec<(RunId, u64)>,
-    /// Replay-detection: proposal tuples seen.
-    pub seen_tuples: Vec<(u64, Digest32)>,
+    /// Replay-detection: runs seen, with the agreed seq each was seen at,
+    /// packed as hex records of run id ‖ seq (see [`WINDOW_RECORD`]).
+    ///
+    /// The three window lists are packed for the same reason as
+    /// `agreed_state`: this document is written at every protocol step,
+    /// and a full window as `["<hex>",n]` pairs is ~192 small JSON trees
+    /// to build and emit each time, about half of a sync update's CPU.
+    pub seen_runs: String,
+    /// Replay-detection: proposal tuples seen, packed as hex records of
+    /// rand_hash ‖ seq.
+    pub seen_tuples: String,
     /// The active run, if one was in progress.
     pub active: Option<ActiveRun>,
     /// Deferred membership requests.
     pub queued: Vec<QueuedRequest>,
     /// Re-replies for completed runs (so retransmitted traffic after a
-    /// crash still receives the decide it is waiting for), as `(run,
-    /// slot)` pairs, oldest first. The reply bytes themselves live in
-    /// per-slot store entries written once when each run completes — the
-    /// per-install snapshot used to re-serialise the whole window (~64
-    /// full wire messages) on every write, which dominated round cost.
-    pub completed_replies: Vec<(RunId, u64)>,
+    /// crash still receives the decide it is waiting for), packed as hex
+    /// records of run id ‖ slot, oldest first. The reply bytes themselves
+    /// live in per-slot store entries written once when each run completes
+    /// — the per-install snapshot used to re-serialise the whole window
+    /// (~64 full wire messages) on every write, which dominated round cost.
+    pub completed_replies: String,
     /// Continuation point for slot assignment after recovery.
     pub reply_slots: u64,
     /// Whether the party had left the group.
     pub detached: bool,
+}
+
+/// Width of one packed replay-window record in a [`ReplicaSnapshot`]: a
+/// 32-byte digest followed by a big-endian `u64`.
+pub const WINDOW_RECORD: usize = 40;
+
+/// Hex-encodes `(digest, n)` records at [`WINDOW_RECORD`] bytes each.
+fn pack_window<'a>(records: impl Iterator<Item = (&'a Digest32, u64)>) -> String {
+    let mut bytes = Vec::with_capacity(records.size_hint().0 * WINDOW_RECORD);
+    for (digest, n) in records {
+        bytes.extend_from_slice(&digest.0);
+        bytes.extend_from_slice(&n.to_be_bytes());
+    }
+    hex::encode(bytes)
+}
+
+/// Inverse of [`pack_window`]; `field` names the list in the error.
+fn unpack_window(field: &'static str, packed: &str) -> Result<Vec<(Digest32, u64)>, RestoreError> {
+    let bytes = hex::decode(packed).map_err(|_| RestoreError::Malformed { field })?;
+    if bytes.len() % WINDOW_RECORD != 0 {
+        return Err(RestoreError::Malformed { field });
+    }
+    Ok(bytes
+        .chunks_exact(WINDOW_RECORD)
+        .map(|record| {
+            let (digest, n) = record.split_at(32);
+            (
+                Digest32(digest.try_into().expect("32-byte digest")),
+                u64::from_be_bytes(n.try_into().expect("8-byte integer")),
+            )
+        })
+        .collect())
+}
+
+/// Why a [`ReplicaSnapshot`] could not be restored. Recovery skips such an
+/// object rather than panicking on one corrupt checkpoint.
+#[derive(Debug, Error, Clone, PartialEq, Eq)]
+pub enum RestoreError {
+    /// A hex field does not decode, or a packed window list is not a whole
+    /// number of [`WINDOW_RECORD`]-byte records.
+    #[error("checkpoint field {field} is malformed")]
+    Malformed {
+        /// The offending snapshot field.
+        field: &'static str,
+    },
 }
 
 impl ReplicaSnapshot {
@@ -356,16 +409,17 @@ impl ReplicaSnapshot {
             group: replica.group,
             agreed: replica.agreed,
             agreed_state: hex::encode(&replica.agreed_state),
-            seen_runs: replica.seen_runs.iter().map(|(r, s)| (*r, *s)).collect(),
-            seen_tuples: replica.seen_tuples.iter().copied().collect(),
+            seen_runs: pack_window(replica.seen_runs.iter().map(|(r, s)| (&r.0, *s))),
+            seen_tuples: pack_window(replica.seen_tuples.iter().map(|(s, d)| (d, *s))),
             active: replica.active.clone(),
             queued: replica.queued.clone(),
             // Serialized oldest-first so restore preserves eviction order.
-            completed_replies: replica
-                .completed_order
-                .iter()
-                .filter_map(|k| replica.completed_replies.get(k).map(|v| (*k, v.slot)))
-                .collect(),
+            completed_replies: pack_window(
+                replica
+                    .completed_order
+                    .iter()
+                    .filter_map(|k| replica.completed_replies.get(k).map(|v| (&k.0, v.slot))),
+            ),
             reply_slots: replica.reply_slots,
             detached: replica.detached,
         }
@@ -381,41 +435,51 @@ impl ReplicaSnapshot {
     /// slot overwrite and the core snapshot that would have retired the
     /// old entry — is dropped, which merely re-runs the eviction the
     /// interrupted write was performing.
+    ///
+    /// Fails, before touching `object`, if a hex field or packed list is
+    /// malformed.
     pub fn restore(
         self,
         object_id: ObjectId,
         mut object: Box<dyn B2BObject>,
         mut fetch_reply: impl FnMut(u64) -> Option<Vec<u8>>,
-    ) -> Replica {
-        let agreed_state = hex::decode(&self.agreed_state).expect("snapshot state is hex");
+    ) -> Result<Replica, RestoreError> {
+        let agreed_state =
+            hex::decode(&self.agreed_state).map_err(|_| RestoreError::Malformed {
+                field: "agreed_state",
+            })?;
+        let seen_runs = unpack_window("seen_runs", &self.seen_runs)?;
+        let seen_tuples = unpack_window("seen_tuples", &self.seen_tuples)?;
+        let replies = unpack_window("completed_replies", &self.completed_replies)?;
         object.apply_state(&agreed_state);
         let mut completed_replies = HashMap::new();
         let mut completed_order = VecDeque::new();
-        for (run, slot) in &self.completed_replies {
-            let Some(blob) = fetch_reply(*slot) else {
+        for (digest, slot) in replies {
+            let run = RunId(digest);
+            let Some(blob) = fetch_reply(slot) else {
                 continue;
             };
-            if blob.len() < 32 || blob[..32] != run.0 .0 {
+            if blob.len() < 32 || blob[..32] != digest.0 {
                 continue;
             }
             completed_replies.insert(
-                *run,
+                run,
                 StoredReply {
-                    slot: *slot,
+                    slot,
                     wire: blob[32..].to_vec(),
                 },
             );
-            completed_order.push_back(*run);
+            completed_order.push_back(run);
         }
-        Replica {
+        Ok(Replica {
             object_id,
             object,
             members: self.members,
             group: self.group,
             agreed: self.agreed,
             agreed_state,
-            seen_runs: self.seen_runs.into_iter().collect(),
-            seen_tuples: self.seen_tuples.into_iter().collect(),
+            seen_runs: seen_runs.into_iter().map(|(d, s)| (RunId(d), s)).collect(),
+            seen_tuples: seen_tuples.into_iter().map(|(d, s)| (s, d)).collect(),
             active: self.active,
             queued: self.queued,
             completed_replies,
@@ -423,7 +487,7 @@ impl ReplicaSnapshot {
             dirty_replies: Vec::new(),
             reply_slots: self.reply_slots,
             detached: self.detached,
-        }
+        })
     }
 }
 
@@ -543,24 +607,17 @@ mod tests {
             responses: Vec::new(),
         });
         r.remember_reply(run, reply.clone(), 4);
-        // Model the per-slot store: blob = run id || wire bytes.
-        let slots: HashMap<u64, Vec<u8>> = r
-            .completed_replies
-            .iter()
-            .map(|(k, sr)| {
-                let mut blob = k.0 .0.to_vec();
-                blob.extend_from_slice(&sr.wire);
-                (sr.slot, blob)
-            })
-            .collect();
+        let slots = reply_slots(&r);
         let snap = ReplicaSnapshot::capture(&r);
         let json = serde_json::to_string(&snap).unwrap();
         let back: ReplicaSnapshot = serde_json::from_str(&json).unwrap();
-        let restored = back.restore(
-            ObjectId::new("obj"),
-            Box::new(SharedCell::new(99u64)),
-            |s| slots.get(&s).cloned(),
-        );
+        let restored = back
+            .restore(
+                ObjectId::new("obj"),
+                Box::new(SharedCell::new(99u64)),
+                |s| slots.get(&s).cloned(),
+            )
+            .expect("well-formed snapshot restores");
         assert_eq!(restored.members, r.members);
         assert_eq!(restored.group, r.group);
         assert_eq!(restored.agreed, r.agreed);
@@ -571,6 +628,117 @@ mod tests {
         // The re-reply window survives through the per-slot store.
         assert_eq!(restored.completed_reply(&run), Some(reply));
         assert_eq!(restored.reply_slots, r.reply_slots);
+    }
+
+    /// Per-slot reply store as `Coordinator::persist` writes it: blob =
+    /// run id ‖ wire bytes.
+    fn reply_slots(r: &Replica) -> HashMap<u64, Vec<u8>> {
+        r.completed_replies
+            .iter()
+            .map(|(k, sr)| {
+                let mut blob = k.0 .0.to_vec();
+                blob.extend_from_slice(&sr.wire);
+                (sr.slot, blob)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn full_replay_window_roundtrips_through_json() {
+        let config = crate::CoordinatorConfig::default();
+        let (window, cap) = (config.replay_window, config.completed_replies_cap);
+        let mut r = replica(&["a", "b"]);
+        // Ten more than the window survives, so pruning drops some.
+        for seq in 0..window + 10 {
+            r.seen_runs.insert(RunId(sha256(&seq.to_be_bytes())), seq);
+            r.seen_tuples
+                .insert((seq, sha256(&[&seq.to_be_bytes()[..], b"t"].concat())));
+        }
+        r.agreed.seq = window + 9;
+        r.prune_seen(window);
+        assert_eq!(r.seen_runs.len() as u64, window + 1);
+        assert_eq!(r.seen_tuples.len() as u64, window + 1);
+        // One more reply than the cap: the oldest is evicted and its slot
+        // reused, so slots and order no longer coincide.
+        for i in 0..=cap as u64 {
+            let run = RunId(sha256(&[&i.to_be_bytes()[..], b"done"].concat()));
+            let reply = WireMsg::Decide(DecideMsg {
+                object: ObjectId::new("obj"),
+                run,
+                authenticator: [i as u8; 32],
+                responses: Vec::new(),
+            });
+            r.remember_reply(run, reply, cap);
+        }
+        assert_eq!(r.completed_order.len(), cap);
+        let slots = reply_slots(&r);
+
+        let json = serde_json::to_string(&ReplicaSnapshot::capture(&r)).unwrap();
+        let back: ReplicaSnapshot = serde_json::from_str(&json).unwrap();
+        let restored = back
+            .restore(ObjectId::new("obj"), Box::new(SharedCell::new(0u64)), |s| {
+                slots.get(&s).cloned()
+            })
+            .expect("well-formed snapshot restores");
+        assert_eq!(restored.seen_runs, r.seen_runs);
+        assert_eq!(restored.seen_tuples, r.seen_tuples);
+        assert_eq!(restored.completed_order, r.completed_order);
+        assert_eq!(restored.completed_replies, r.completed_replies);
+        for run in &r.completed_order {
+            assert_eq!(restored.completed_reply(run), r.completed_reply(run));
+            assert!(restored.completed_reply(run).is_some());
+        }
+        assert_eq!(restored.reply_slots, r.reply_slots);
+    }
+
+    #[test]
+    fn malformed_checkpoint_fields_fail_restore() {
+        let mut r = replica(&["a", "b"]);
+        r.seen_runs.insert(RunId(sha256(b"run")), 0);
+        r.seen_tuples.insert((1, sha256(b"t")));
+        let good = ReplicaSnapshot::capture(&r);
+        let record = good.seen_runs.clone();
+        assert_eq!(record.len(), 2 * WINDOW_RECORD);
+        type Corrupt = fn(&mut ReplicaSnapshot, String);
+        let fields: [(&str, Corrupt); 4] = [
+            ("agreed_state", |s, v| s.agreed_state = v),
+            ("seen_runs", |s, v| s.seen_runs = v),
+            ("seen_tuples", |s, v| s.seen_tuples = v),
+            ("completed_replies", |s, v| s.completed_replies = v),
+        ];
+        for (field, corrupt) in fields {
+            let mut values = vec![
+                format!("{record}0"),          // odd number of hex digits
+                format!("{}zz", &record[2..]), // not hex
+            ];
+            if field != "agreed_state" {
+                // Whole bytes, but not whole records.
+                values.push(record[..2 * (WINDOW_RECORD - 1)].to_string());
+                values.push(format!("{record}00"));
+            }
+            for value in values {
+                let mut snap = good.clone();
+                corrupt(&mut snap, value.clone());
+                let err = snap
+                    .restore(
+                        ObjectId::new("obj"),
+                        Box::new(SharedCell::new(0u64)),
+                        |_slot| None,
+                    )
+                    .expect_err(&format!("{field} = {value:?} must not restore"));
+                assert_eq!(err, RestoreError::Malformed { field });
+            }
+        }
+        // An empty list is well formed.
+        let mut empty = good;
+        empty.seen_runs.clear();
+        assert!(empty
+            .restore(
+                ObjectId::new("obj"),
+                Box::new(SharedCell::new(0u64)),
+                |_| None
+            )
+            .is_ok());
     }
 
     #[test]
@@ -592,11 +760,13 @@ mod tests {
         // crash landed between the slot overwrite and the core snapshot.
         let mut blob = sha256(b"other-run").0.to_vec();
         blob.extend_from_slice(b"{}");
-        let restored = snap.restore(
-            ObjectId::new("obj"),
-            Box::new(SharedCell::new(0u64)),
-            |_slot| Some(blob.clone()),
-        );
+        let restored = snap
+            .restore(
+                ObjectId::new("obj"),
+                Box::new(SharedCell::new(0u64)),
+                |_slot| Some(blob.clone()),
+            )
+            .expect("well-formed snapshot restores");
         assert!(restored.completed_replies.is_empty());
         assert!(restored.completed_order.is_empty());
     }
@@ -605,11 +775,13 @@ mod tests {
     fn shared_cell_validator_is_irrelevant_here_but_object_installs() {
         // Guard: restore must call apply_state even for accept-all cells.
         let snap = ReplicaSnapshot::capture(&replica(&["a"]));
-        let restored = snap.restore(
-            ObjectId::new("obj"),
-            Box::new(SharedCell::new(5u64).with_validator(|_w, _o, _n| Decision::accept())),
-            |_slot| None,
-        );
+        let restored = snap
+            .restore(
+                ObjectId::new("obj"),
+                Box::new(SharedCell::new(5u64).with_validator(|_w, _o, _n| Decision::accept())),
+                |_slot| None,
+            )
+            .expect("well-formed snapshot restores");
         assert_eq!(
             restored.object.get_state(),
             serde_json::to_vec(&0u64).unwrap()

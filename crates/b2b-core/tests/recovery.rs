@@ -3,10 +3,15 @@
 
 mod common;
 
-use b2b_core::ObjectId;
-use b2b_crypto::TimeMs;
+use b2b_core::messages::{ProposeMsg, WireMsg};
+use b2b_core::replica::ReplicaSnapshot;
+use b2b_core::{CoordinatorConfig, Misbehaviour, ObjectId};
+use b2b_crypto::{CachedCanonical, KeyPair, PartyId, Signer, TimeMs};
+use b2b_evidence::SnapshotStore;
+use b2b_net::intruder::{FnIntruder, InterceptAction};
 use b2b_net::FaultPlan;
 use common::*;
+use std::sync::{Arc, Mutex};
 
 #[test]
 fn recipient_crash_during_run_recovers_and_completes() {
@@ -202,4 +207,122 @@ fn deadline_aborts_blocked_run_and_rolls_back() {
         .net
         .node(&party(0))
         .is_busy(&ObjectId::new("counter")));
+}
+
+/// Reliable-layer frame header: kind(1) + epoch(8) + seq(8) + trace(17).
+const FRAME_HEADER: usize = 34;
+
+/// The m1 inside a reliable-layer data frame, if it carries one.
+fn propose_in(raw: &[u8]) -> Option<ProposeMsg> {
+    if raw.len() <= FRAME_HEADER || raw[0] != 0 {
+        return None; // ack or malformed
+    }
+    match WireMsg::from_bytes(&raw[FRAME_HEADER..])? {
+        WireMsg::Propose(m) => Some(m),
+        _ => None,
+    }
+}
+
+/// Re-frames a protocol message under a fresh reliable-layer epoch,
+/// keeping `template`'s trace context.
+fn reframe(template: &[u8], epoch: u64, msg: &WireMsg) -> Vec<u8> {
+    let mut frame = vec![0u8];
+    frame.extend_from_slice(&epoch.to_be_bytes());
+    frame.extend_from_slice(&0u64.to_be_bytes());
+    frame.extend_from_slice(&template[17..FRAME_HEADER]);
+    frame.extend_from_slice(&msg.to_bytes());
+    frame
+}
+
+#[test]
+fn replay_window_survives_recovery_after_it_fills() {
+    // The replay-detection sets come back from the checkpoint: after more
+    // rounds than `replay_window`, a crashed-and-recovered recipient still
+    // flags both §4.4 replay faces as ReplayedProposal. A re-reply cap
+    // below the window makes the re-delivered run one whose reply is no
+    // longer retained, so it reaches the replay checks instead of being
+    // answered idempotently.
+    let config = CoordinatorConfig::default().completed_replies_cap(4);
+    let window = config.replay_window;
+    let mut cluster = Cluster::with_config(2, 75, config, FaultPlan::default());
+    cluster.setup_object("counter", counter_factory);
+    let frames: Arc<Mutex<Vec<Vec<u8>>>> = Arc::default();
+    let rec = Arc::clone(&frames);
+    cluster.net.set_intruder(FnIntruder::new(
+        move |_f: &PartyId, _t: &PartyId, raw: &[u8], _n| {
+            if propose_in(raw).is_some() {
+                rec.lock().unwrap().push(raw.to_vec());
+            }
+            InterceptAction::Deliver
+        },
+    ));
+    let rounds = window + 6;
+    for v in 1..=rounds {
+        let run = cluster.propose(0, "counter", enc(v));
+        assert!(cluster.outcome(1, &run).unwrap().is_installed());
+    }
+    let t0 = cluster.net.now();
+    cluster.net.crash_at(t0 + TimeMs(1), party(1));
+    cluster.net.recover_at(t0 + TimeMs(100), party(1));
+    cluster.run();
+    assert_eq!(dec(&cluster.state(1, "counter")), rounds);
+
+    // A run well inside the window, older than the retained re-replies.
+    let (template, old) = frames
+        .lock()
+        .unwrap()
+        .iter()
+        .find_map(|raw| {
+            let m = propose_in(raw)?;
+            (m.proposal.proposed.seq == rounds - 10).then(|| (raw.clone(), m))
+        })
+        .expect("recorded m1");
+    // A fresh, correctly signed proposal reusing that run's tuple.
+    let mut fresh = old.clone();
+    fresh.proposal.auth_commit = b2b_crypto::sha256(b"different-commitment");
+    fresh.memo = CachedCanonical::new();
+    fresh.sig = KeyPair::generate_from_seed(1000).sign(&fresh.proposal_bytes());
+    assert_ne!(fresh.run_id(), old.run_id());
+
+    let replayed = reframe(&template, 0xdead_beef, &WireMsg::Propose(old.clone()));
+    let reused = reframe(&template, 0xabad_1dea, &WireMsg::Propose(fresh.clone()));
+    cluster.net.invoke(&party(0), move |_c, ctx| {
+        ctx.send(party(1), replayed);
+        ctx.send(party(1), reused);
+    });
+    cluster.run();
+    let detected = cluster.net.node(&party(1)).detected();
+    for run in [old.run_id(), fresh.run_id()] {
+        assert!(
+            detected.contains(&Misbehaviour::ReplayedProposal { run }),
+            "{run:?} not flagged as replayed: {detected:?}"
+        );
+    }
+    assert_eq!(dec(&cluster.state(1, "counter")), rounds);
+}
+
+#[test]
+fn corrupt_checkpoint_is_skipped_on_recovery() {
+    // One unreadable checkpoint must not take recovery down: the object
+    // is skipped, as an unparsable document already was.
+    let mut cluster = Cluster::new(2, 76);
+    cluster.setup_object("counter", counter_factory);
+    cluster.setup_object("other", counter_factory);
+    cluster.propose(0, "counter", enc(3));
+    cluster.propose(0, "other", enc(4));
+    let store = Arc::clone(&cluster.stores[&party(1)]);
+    let key = "obj-counter";
+    let mut snap: ReplicaSnapshot =
+        serde_json::from_slice(&store.get_snapshot(key).unwrap()).unwrap();
+    snap.seen_tuples = "00".repeat(39); // whole bytes, not a whole record
+    store
+        .put_snapshot(key, serde_json::to_vec(&snap).unwrap())
+        .unwrap();
+    let t0 = cluster.net.now();
+    cluster.net.crash_at(t0 + TimeMs(1), party(1));
+    cluster.net.recover_at(t0 + TimeMs(100), party(1));
+    cluster.run();
+    let node = cluster.net.node(&party(1));
+    assert!(node.agreed_state(&ObjectId::new("counter")).is_none());
+    assert_eq!(dec(&cluster.state(1, "other")), 4);
 }

@@ -389,6 +389,14 @@ fn factory(roles: &OrderRoles) -> Box<dyn b2b_core::B2BObject> {
     Box::new(OrderObject::new(roles.clone()))
 }
 
+/// Drops the engine's buffered coordination events. The server answers
+/// from tickets and never reads the `coordCallback` stream, so without
+/// this each engine would keep every event for the life of the process.
+/// Called from the invoke each submitting request already makes.
+fn discard_events(c: &mut Coordinator) {
+    drop(c.take_events());
+}
+
 /// JSON-escapes a string (via the vendored encoder).
 fn js(s: &str) -> String {
     serde_json::to_string(&s.to_string()).unwrap_or_else(|_| "\"\"".to_string())
@@ -637,7 +645,10 @@ impl Core {
             }
         }
         let proposed = delta.to_bytes();
-        let submitted = handle.invoke(move |c, ctx| c.submit_update(&oid, proposed, ctx));
+        let submitted = handle.invoke(move |c, ctx| {
+            discard_events(c);
+            c.submit_update(&oid, proposed, ctx)
+        });
         match submitted {
             Ok(ticket) => self.conclude(g, p, ticket, mode),
             Err(CoordError::Busy { .. }) => self.backpressure(),
@@ -743,6 +754,7 @@ impl Core {
         let submitted = handle.invoke({
             let oid = oid.clone();
             move |c, ctx| {
+                discard_events(c);
                 let bytes = deltas.iter().map(|d| d.to_bytes()).collect();
                 c.submit_updates(&oid, bytes, ctx)
             }

@@ -284,3 +284,29 @@ fn concurrent_conflicting_updates_converge_with_clean_audit() {
     assert!(records > 0);
     server.shutdown();
 }
+
+#[test]
+fn submitting_requests_drain_the_engines_event_buffer() {
+    // The server never reads the coordCallback stream; each submitting
+    // request discards what the engine buffered since the last one, so
+    // the buffer holds at most one round's events, not every round's.
+    let server = boot(1);
+    let mut client = HttpClient::connect(server.addr()).expect("connect");
+    let (status, body) = client.post("/orders", "").expect("create");
+    assert_eq!(status, 201, "{body}");
+    let order = int_field(&body, "order").expect("order id");
+    for qty in 1..=8 {
+        let (status, body) = client
+            .post(
+                &format!("/orders/{order}/lines?mode=sync"),
+                &format!("{{\"item\":\"widget1\",\"qty\":{qty}}}"),
+            )
+            .expect("line");
+        assert_eq!(status, 200, "{body}");
+    }
+    // The customer proposed every round: one round leaves Proposed,
+    // ResponseReceived and Completed behind.
+    let buffered = server.handle(0, 0).invoke(|c, _| c.take_events().len());
+    assert!(buffered <= 3, "{buffered} events buffered after 8 rounds");
+    server.shutdown();
+}
